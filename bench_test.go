@@ -358,30 +358,6 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	}
 }
 
-// Head-symbol rule indexing vs linear scan.
-func BenchmarkAblationRuleIndex(b *testing.B) {
-	env := speclib.BaseEnv()
-	// Use the biggest rule set: the merged symbol-table universe.
-	sp := env.MustGet("SymtabImpl")
-	tm, err := env.ParseTerm("SymtabImpl",
-		"retrieve'(add'(enterblock'(add'(init', 'x, 'a1)), 'y, 'a2), 'x)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		sys := rewrite.New(sp)
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithoutRuleIndex())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-}
-
 // Stack-of-arrays vs flat-list symbol table under compiler load.
 func BenchmarkAblationSymtabRep(b *testing.B) {
 	src := compiler.GenProgram(compiler.GenConfig{
@@ -454,23 +430,8 @@ func runQueueSpec(b *testing.B, sys *rewrite.System, ops []bool, items []string)
 	}
 }
 
-// Compiled matching automaton (discrimination tree + RHS templates) vs
-// the per-rule MatchBind loop, on the E1 queue workload.
-func BenchmarkAblationDiscTree(b *testing.B) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Queue")
-	ops := queueWorkload(64)
-	items := []string{"a", "b", "c", "d"}
-	b.Run("disctree", func(b *testing.B) {
-		runQueueSpec(b, rewrite.New(sp), ops, items)
-	})
-	b.Run("matchbind", func(b *testing.B) {
-		runQueueSpec(b, rewrite.New(sp, rewrite.WithoutDiscTree()), ops, items)
-	})
-}
-
 // Compiled machine tier (register-addressed match programs, build-tree
-// evaluation over arena scratch terms) vs the discrimination-tree
+// evaluation over arena scratch terms) vs the reference MatchBind
 // interpreter, on the E1 queue workload. The optionless engine resolves
 // to the compiled tier; WithoutCompiledTier pins the interpreter.
 func BenchmarkAblationCompiledTier(b *testing.B) {
@@ -524,30 +485,4 @@ func BenchmarkBatchEval(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Memoized vs plain normalization on a workload with shared subterms.
-func BenchmarkAblationMemo(b *testing.B) {
-	env := speclib.BaseEnv()
-	sp := env.MustGet("Nat")
-	n := "zero"
-	for i := 0; i < 24; i++ {
-		n = "succ(" + n + ")"
-	}
-	tm, err := env.ParseTerm("Nat", fmt.Sprintf("addN(%s, addN(%s, %s))", n, n, n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("plain", func(b *testing.B) {
-		sys := rewrite.New(sp)
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithMemo())
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	})
 }

@@ -56,13 +56,15 @@ func TestEvalStats(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "stats: tier=compiled steps=") ||
 		!strings.Contains(lines[1], "rule-fires=") ||
-		!strings.Contains(lines[1], "memo-hits=") ||
 		!strings.Contains(lines[1], "native-calls=") ||
 		!strings.Contains(lines[1], "interned=") {
 		t.Errorf("stats line = %q", lines[1])
 	}
 	if strings.Contains(lines[1], "steps=0 ") {
 		t.Errorf("stats reported zero steps for a reducible term: %q", lines[1])
+	}
+	if strings.Contains(lines[1], "memo-hits=") {
+		t.Errorf("stats line still reports the removed memo table: %q", lines[1])
 	}
 }
 

@@ -214,7 +214,7 @@ func TestInterleavedFlags(t *testing.T) {
 // parallel drivers promise: with a fixed seed, `adt test` output is
 // byte-identical whatever the worker count. The differential report is
 // pinned separately because it names its engine matrix after the worker
-// count (disctree/w4 and so on) — there the invariant is that every
+// count (interp/w4 and so on) — there the invariant is that every
 // engine agrees (": OK") at every width, not that the labels match.
 func TestSeedDeterminismAcrossWorkers(t *testing.T) {
 	base := []string{"test", "-spec", "Queue", "-seed", "12345", "-n", "16", "-diff=false", "-mutate"}

@@ -22,17 +22,13 @@ type benchRow struct {
 }
 
 // benchExport runs the rewrite-engine benchmarks the report cares about
-// (the E1 queue workload and the memoized Nat workload, mirroring
+// (the E1 queue workload on both tiers and the batch driver, mirroring
 // bench_test.go) through testing.Benchmark and writes the rows as JSON.
 // It gives CI a machine-readable BENCH_rewrite.json without needing the
 // test binary.
 func benchExport(out io.Writer, path string, env *core.Env) error {
 	rows := []benchRow{
 		measure("e1_queue_spec_ops64", benchQueueSpec(env, 64)),
-		measure("ablation_memo_nat_addn", benchMemoNat(env)),
-		measure("ablation_nomemo_nat_addn", benchPlainNat(env)),
-		measure("ablation_disctree_on", benchQueueSpecOpts(env, 64)),
-		measure("ablation_disctree_off", benchQueueSpecOpts(env, 64, rewrite.WithoutDiscTree())),
 		measure("ablation_compiled_on", benchQueueSpecOpts(env, 64)),
 		measure("ablation_compiled_off", benchQueueSpecOpts(env, 64, rewrite.WithoutCompiledTier())),
 		measure("batch_eval_w1", benchBatchEval(env, 1)),
@@ -69,8 +65,7 @@ func benchQueueSpec(env *core.Env, n int) func(b *testing.B) {
 }
 
 // benchQueueSpecOpts is benchQueueSpec with engine options, used for the
-// matching-automaton ablation (WithoutDiscTree) and the compiled-tier
-// ablation (WithoutCompiledTier).
+// compiled-tier ablation (WithoutCompiledTier).
 func benchQueueSpecOpts(env *core.Env, n int, opts ...rewrite.Option) func(b *testing.B) {
 	sp := env.MustGet("Queue")
 	items := []string{"a", "b", "c", "d"}
@@ -130,42 +125,6 @@ func benchBatchEval(env *core.Env, workers int) func(b *testing.B) {
 			if _, errs := f.NormalizeAll(items, workers); errs != nil {
 				b.Fatal(errs)
 			}
-		}
-	}
-}
-
-func natAddNTerm(env *core.Env) *term.Term {
-	n := "zero"
-	for i := 0; i < 24; i++ {
-		n = "succ(" + n + ")"
-	}
-	tm, err := env.ParseTerm("Nat", fmt.Sprintf("addN(%s, addN(%s, %s))", n, n, n))
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
-
-func benchMemoNat(env *core.Env) func(b *testing.B) {
-	sp := env.MustGet("Nat")
-	tm := natAddNTerm(env)
-	return func(b *testing.B) {
-		sys := rewrite.New(sp, rewrite.WithMemo())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
-		}
-	}
-}
-
-func benchPlainNat(env *core.Env) func(b *testing.B) {
-	sp := env.MustGet("Nat")
-	tm := natAddNTerm(env)
-	return func(b *testing.B) {
-		sys := rewrite.New(sp)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys.MustNormalize(tm)
 		}
 	}
 }

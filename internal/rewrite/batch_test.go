@@ -63,9 +63,10 @@ func TestNormalizeAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNormalizeAllSharedInterner runs a larger batch through a memoized
-// system so the workers hammer the shared interner; correctness is the
-// race detector's job, this test just keeps the workload honest.
+// TestNormalizeAllSharedInterner runs a larger batch so the workers
+// hammer the shared interner (the machine tier interns every normal
+// form at its Canon boundary); correctness is the race detector's job,
+// this test just keeps the workload honest.
 func TestNormalizeAllSharedInterner(t *testing.T) {
 	env := speclib.BaseEnv()
 	sp := env.MustGet("Nat")
@@ -77,7 +78,7 @@ func TestNormalizeAllSharedInterner(t *testing.T) {
 		}
 		items = append(items, term.NewOp("addN", "Nat", n, n))
 	}
-	sys := rewrite.New(sp, rewrite.WithMemo())
+	sys := rewrite.New(sp)
 	nfs, errs := sys.NormalizeAll(items, 8)
 	if errs != nil {
 		t.Fatalf("unexpected errors: %v", errs)

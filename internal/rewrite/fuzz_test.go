@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzNormalize feeds arbitrary term strings to the engine, checked
-// differentially: whatever the input, the compiled discrimination-tree
-// matcher and the MatchBind reference must agree on the outcome — same
-// acceptance, same normal form, same step count — under a small fuel
-// bound so divergent inputs terminate by running out of steps.
+// differentially: whatever the input, the compiled machine tier and the
+// reference interpreter must agree on the outcome — same acceptance,
+// same normal form, same step count — under a small fuel bound so
+// divergent inputs terminate by running out of steps.
 func FuzzNormalize(f *testing.F) {
 	env := core.NewEnv()
 	env.MustLoad(speclib.Sources...)
@@ -33,18 +33,18 @@ func FuzzNormalize(f *testing.F) {
 		if err != nil {
 			return // not a well-sorted ground term of this spec
 		}
-		trie := rewrite.New(sp, rewrite.WithMaxSteps(5000))
-		ref := rewrite.New(sp, rewrite.WithoutDiscTree(), rewrite.WithMaxSteps(5000))
-		trieNF, trieErr := trie.Normalize(tm)
+		mach := rewrite.New(sp, rewrite.WithMaxSteps(5000))
+		ref := rewrite.New(sp, rewrite.WithoutCompiledTier(), rewrite.WithMaxSteps(5000))
+		machNF, machErr := mach.Normalize(tm)
 		refNF, refErr := ref.Normalize(tm)
-		if (trieErr == nil) != (refErr == nil) {
-			t.Fatalf("engines disagree on acceptance of %s: trie=%v ref=%v", tm, trieErr, refErr)
+		if (machErr == nil) != (refErr == nil) {
+			t.Fatalf("tiers disagree on acceptance of %s: compiled=%v interp=%v", tm, machErr, refErr)
 		}
-		if trieErr == nil && !trieNF.Equal(refNF) {
-			t.Fatalf("normal forms differ for %s:\n  trie: %s\n  ref:  %s", tm, trieNF, refNF)
+		if machErr == nil && !machNF.Equal(refNF) {
+			t.Fatalf("normal forms differ for %s:\n  compiled: %s\n  interp:   %s", tm, machNF, refNF)
 		}
-		if trie.Stats().Steps != ref.Stats().Steps {
-			t.Fatalf("step counts differ for %s: trie=%d ref=%d", tm, trie.Stats().Steps, ref.Stats().Steps)
+		if mach.Stats().Steps != ref.Stats().Steps {
+			t.Fatalf("step counts differ for %s: compiled=%d interp=%d", tm, mach.Stats().Steps, ref.Stats().Steps)
 		}
 	})
 }

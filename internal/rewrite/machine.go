@@ -3,31 +3,30 @@
 // right-hand side to a slot-indexed build program, then runs both in a
 // small VM loop over arena-allocated scratch terms (term.Arena).
 //
-// Relationship to the other tiers — the engine is layered as
+// Relationship to the other tier — the engine is layered as
 //
-//	program            immutable compiled artifacts (rules, index,
-//	                   tries, templates, machine), shared by Forks
+//	program            immutable compiled artifacts (rules, head-symbol
+//	                   index, machine), shared by Forks
 //	  └─ machine tier  flat match/build programs + arena scratch terms
-//	  └─ interpreter   discrimination-tree walk (trie.go) or per-rule
-//	                   MatchBind — the reference semantics and the
-//	                   fallback for configs the machine does not serve
-//	                   (memo, trace, outermost strategy, ablations)
+//	  └─ interpreter   per-rule subst.MatchBind + Bindings.Build over the
+//	                   head-symbol index — the reference semantics and
+//	                   the tier for configs the machine does not serve
+//	                   (trace, outermost strategy, WithoutCompiledTier)
 //
 // and every entry point (Normalize, NormalizeAll, the checkers, axtest,
 // serve) goes through the one Eval seam in rewrite.go, which picks the
 // tier per System configuration.
 //
-// Match programs replace the trie walk: instead of a pointer-chasing
-// automaton with a pending-subterm stack, each rule's pattern compiles
-// to straight-line code over a register file. Register 0 holds the
-// subject; loads move child slots into registers; checks compare a
-// register against the pattern shape and jump to the next rule's entry
-// on failure. First accepting rule wins, and because rules are laid out
-// in ascending index order that is exactly the branch-and-bound trie's
-// lowest-index winner. Check semantics mirror subst.MatchBind and the
-// trie precisely: a variable never matches error and respects sorts; a
-// repeated variable re-checks structural equality against the register
-// that captured the first occurrence.
+// Match programs replace the interpreter's per-rule pattern walk: each
+// rule's pattern compiles to straight-line code over a register file.
+// Register 0 holds the subject; loads move child slots into registers;
+// checks compare a register against the pattern shape and jump to the
+// next rule's entry on failure. First accepting rule wins, and because
+// rules are laid out in ascending index order that is exactly the
+// interpreter's priority-order winner. Check semantics mirror
+// subst.MatchBind precisely: a variable never matches error and respects
+// sorts; a repeated variable re-checks structural equality against the
+// register that captured the first occurrence.
 //
 // Build programs are evaluation trees executed call-by-value: each
 // operation application in a rule's right-hand side evaluates its
@@ -129,7 +128,7 @@ type buildNode struct {
 }
 
 // machine is the compiled tier's immutable artifact set, hanging off
-// program next to the tries and templates.
+// program next to the rule list and head-symbol index.
 type machine struct {
 	progs  map[string]*matchProg
 	builds []buildNode
@@ -242,7 +241,8 @@ func compileMatchGroup(rules []Rule, idxs []int, builds []buildNode) *matchProg 
 }
 
 // compileNode lowers a right-hand side to its evaluation tree;
-// structure and sharing behaviour match compileRHS. A conditional —
+// structure and sharing behaviour match Bindings.Build (subtrees without
+// a bound variable are shared constants). A conditional —
 // at the root or nested inside an operation argument — becomes a bIf
 // node: evaluation order, step charges and results are exactly the
 // interpreter's reduceIf on the materialized term.
@@ -268,6 +268,20 @@ func compileNode(rhs *term.Term, regs map[string]int) buildNode {
 		kids[i] = compileNode(a, regs)
 	}
 	return buildNode{op: bMk, sym: rhs.Sym, sort: rhs.Sort, kids: kids}
+}
+
+// containsBound reports whether t contains a variable the pattern binds.
+func containsBound(t *term.Term, regs map[string]int) bool {
+	if t.Kind == term.Var {
+		_, ok := regs[t.Sym]
+		return ok
+	}
+	for _, a := range t.Args {
+		if containsBound(a, regs) {
+			return true
+		}
+	}
+	return false
 }
 
 // runMatch executes a match program against subject over the register
@@ -391,7 +405,10 @@ func setReg(regs []*term.Term, i int, v *term.Term) {
 // in-place writes below can only target nodes this call owns). Nothing
 // scratch survives the call: Normalize interns the result at the Canon
 // boundary before the arena is reset.
-func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
+func (s *System) normalizeCompiled(t *term.Term, depth int) (*term.Term, error) {
+	if depth > maxDepth {
+		return nil, s.tooDeep(t)
+	}
 	switch t.Kind {
 	case term.Var, term.Atom, term.Err:
 		return t, nil
@@ -400,7 +417,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 		return t, nil
 	}
 	if t.IsIf() {
-		return s.reduceIfCompiled(t)
+		return s.reduceIfCompiled(t, depth)
 	}
 
 	cur := t
@@ -415,7 +432,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 		if a.Kind == term.Var || a.Kind == term.Atom || (a.Kind != term.Err && a.NormalTag() == s.gen) {
 			continue
 		}
-		na, err := s.normalizeCompiled(a)
+		na, err := s.normalizeCompiled(a, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +464,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 			if err != nil {
 				return nil, err
 			}
-			return s.normalizeCompiled(red)
+			return s.normalizeCompiled(red, depth+1)
 		}
 	}
 	if d.mp == nil {
@@ -456,12 +473,7 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 	base := s.regTop
 	need := base + d.mp.nregs
 	if len(s.regStack) < need {
-		// Frames below base stay live in the old array (they are
-		// read-only once their match completed), so in-flight builds
-		// keep valid captures across the copy.
-		ns := make([]*term.Term, need+64)
-		copy(ns, s.regStack[:base])
-		s.regStack = ns
+		s.grow(base, need)
 	}
 	regs := s.regStack[base:need]
 	ri := s.runMatch(d.mp, cur, regs)
@@ -477,9 +489,43 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 	// carve their own frames above this one on the register stack, so
 	// the captures survive without copying.
 	s.regTop = need
-	red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur)
+	red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, cur, depth+1)
 	s.regTop = base
 	return red, err
+}
+
+// maxDepth bounds how deeply one evaluation may nest. depth counts the
+// live normalizeCompiled and evalBuild frames (each carries at most one
+// reduceIfCompiled or applyRules frame above it), so the goroutine stack
+// an evaluation uses stays below maxDepth times the largest such pair.
+// Go 1.24 on amd64 compiles that pair to at most 456 bytes, and to 1080
+// under -race (evalBuild + applyRules); the cap keeps even the race
+// build at about 370 MiB, under the 512 MiB stack that is the last
+// doubling the runtime's 1 GB limit allows (a normal build stops under
+// 160 MiB). Input terms nest at most 10000 levels (the parser's bound);
+// what reaches the cap is a rule that recurses under a constructor, such
+// as grow(x) = s(grow(x)), which nests once per step and would otherwise
+// overflow the stack before its fuel runs out — a fatal error that takes
+// the whole process down.
+const maxDepth = 360_000
+
+// tooDeep is the error for an evaluation that reached maxDepth: the
+// fuel error, naming the redex being applied.
+func (s *System) tooDeep(last *term.Term) error {
+	return &ErrFuel{Steps: s.spent(), Last: last}
+}
+
+// grow reallocates the register stack to hold need registers, keeping
+// the live prefix [:keep]. Frames below keep stay live in the old array
+// too (they are read-only once their match completed), so in-flight
+// builds keep valid captures across the copy. Growth is geometric: a
+// deep rewrite chain would otherwise copy the whole stack every few
+// frames, making fuel exhaustion quadratic in the step count; the
+// constant sizes the first allocation for shallow evaluations.
+func (s *System) grow(keep, need int) {
+	ns := make([]*term.Term, 2*need+64)
+	copy(ns, s.regStack[:keep])
+	s.regStack = ns
 }
 
 // evalBuild evaluates a build tree over its register-stack frame (kept
@@ -493,7 +539,10 @@ func (s *System) normalizeCompiled(t *term.Term) (*term.Term, error) {
 // fuel/cancellation errors; for virtual nodes that position is the
 // outer redex (the node a fuel error would otherwise name was never
 // built).
-func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (*term.Term, error) {
+func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term, depth int) (*term.Term, error) {
+	if depth > maxDepth {
+		return nil, s.tooDeep(redex)
+	}
 	switch n.op {
 	case bReg:
 		// Captures are already normal and never the error value.
@@ -504,9 +553,9 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 		if n.lit.NormalTag() == s.gen {
 			return n.lit, nil
 		}
-		return s.normalizeCompiled(n.lit)
+		return s.normalizeCompiled(n.lit, depth+1)
 	case bIf:
-		cond, err := s.evalBuild(&n.kids[0], frame, redex)
+		cond, err := s.evalBuild(&n.kids[0], frame, redex, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -520,19 +569,19 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 			if err := s.spend(redex); err != nil {
 				return nil, err
 			}
-			return s.evalBuild(&n.kids[1], frame, redex)
+			return s.evalBuild(&n.kids[1], frame, redex, depth+1)
 		case cond.IsFalse():
 			if err := s.spend(redex); err != nil {
 				return nil, err
 			}
-			return s.evalBuild(&n.kids[2], frame, redex)
+			return s.evalBuild(&n.kids[2], frame, redex, depth+1)
 		default:
 			// Symbolic condition: normalize both branches, keep the if.
-			then, err := s.evalBuild(&n.kids[1], frame, redex)
+			then, err := s.evalBuild(&n.kids[1], frame, redex, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			els, err := s.evalBuild(&n.kids[2], frame, redex)
+			els, err := s.evalBuild(&n.kids[2], frame, redex, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -545,10 +594,10 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 	// symbols, the never-in-practice arity mismatch — evaluates into a
 	// fresh arena vector and materializes. Both paths short-circuit on
 	// an error child exactly like the generic argument pass.
-	d := s.dispID[n.sid]
-	if d.mp != nil && d.native == nil && d.mp.code[0].k == len(n.kids) {
-		return s.applyRules(n, d.mp, frame, redex)
+	if mp := s.ruled(n); mp != nil {
+		return s.applyRules(n, mp, frame, redex, depth)
 	}
+	d := s.dispID[n.sid]
 	args := s.arena.ArgSlice(len(n.kids))
 	for i := range n.kids {
 		// Register children are already normal and never the error value
@@ -558,7 +607,7 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 			setReg(args, i, frame[k.a])
 			continue
 		}
-		v, err := s.evalBuild(&n.kids[i], frame, redex)
+		v, err := s.evalBuild(&n.kids[i], frame, redex, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -577,9 +626,20 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 		// Native handlers want a real node with a stable argument
 		// vector; a root-arity mismatch just match-fails. The generic
 		// evaluator covers both with identical step accounting.
-		return s.normalizeCompiled(t)
+		return s.normalizeCompiled(t, depth+1)
 	}
 	return t, nil
+}
+
+// ruled returns the match program applyRules fires a bMk node through,
+// or nil when the node must materialize: constructors, native-handled
+// symbols and the never-in-practice root-arity mismatch.
+func (s *System) ruled(n *buildNode) *matchProg {
+	d := s.dispID[n.sid]
+	if d.mp != nil && d.native == nil && d.mp.code[0].k == len(n.kids) {
+		return d.mp
+	}
+	return nil
 }
 
 // applyRules evaluates a ruled operation without materializing it: the
@@ -593,62 +653,84 @@ func (s *System) evalBuild(n *buildNode, frame []*term.Term, redex *term.Term) (
 // partially filled frame forward, which is why stores go through
 // s.regStack rather than a saved slice. When no rule applies the node
 // is its own normal form and is built once, from the arena.
-func (s *System) applyRules(n *buildNode, mp *matchProg, frame []*term.Term, redex *term.Term) (*term.Term, error) {
+//
+// A fired rule whose right-hand side is itself a ruled operation is a
+// tail call: its children are evaluated into a frame above this one,
+// moved down over it (this frame is dead once they are computed), and
+// the loop matches again. A chain of such rules — spin(x) = spin(x) is
+// the extreme — therefore runs in constant Go and register stack
+// instead of one nested frame pair per step. The reduction sequence
+// and step charges are exactly those of the nested evaluation.
+func (s *System) applyRules(n *buildNode, mp *matchProg, frame []*term.Term, redex *term.Term, depth int) (*term.Term, error) {
 	base := s.regTop
-	need := base + mp.nregs
-	if len(s.regStack) < need {
-		ns := make([]*term.Term, need+64)
-		copy(ns, s.regStack[:base])
-		s.regStack = ns
-	}
-	s.regTop = need
-	for i := range n.kids {
-		// Register children load inline: already normal, never the error
-		// value (strictness ran before their frame's match fired).
-		if k := &n.kids[i]; k.op == bReg {
-			setReg(s.regStack, base+1+i, frame[k.a])
-			continue
+	at := base // where this iteration's children land
+	for {
+		need := at + mp.nregs
+		if len(s.regStack) < need {
+			s.grow(at, need)
 		}
-		v, err := s.evalBuild(&n.kids[i], frame, redex)
-		if err != nil {
-			s.regTop = base
-			return nil, err
-		}
-		if v.IsErr() {
-			// Strictness: skip the remaining children entirely.
-			s.regTop = base
-			if err := s.spend(redex); err != nil {
+		s.regTop = need
+		for i := range n.kids {
+			// Register children load inline: already normal, never the
+			// error value (strictness ran before their frame's match fired).
+			if k := &n.kids[i]; k.op == bReg {
+				setReg(s.regStack, at+1+i, frame[k.a])
+				continue
+			}
+			v, err := s.evalBuild(&n.kids[i], frame, redex, depth+1)
+			if err != nil {
+				s.regTop = base
 				return nil, err
 			}
-			return s.arena.Err(n.sort), nil
+			if v.IsErr() {
+				// Strictness: skip the remaining children entirely.
+				s.regTop = base
+				if err := s.spend(redex); err != nil {
+					return nil, err
+				}
+				return s.arena.Err(n.sort), nil
+			}
+			setReg(s.regStack, at+1+i, v)
 		}
-		setReg(s.regStack, base+1+i, v)
-	}
-	regs := s.regStack[base:need]
-	if ri := s.runMatchLoaded(mp, regs); ri >= 0 {
+		k := len(n.kids)
+		if at != base {
+			copy(s.regStack[base+1:base+1+k], s.regStack[at+1:at+1+k])
+		}
+		top := base + mp.nregs
+		s.regTop = top
+		regs := s.regStack[base:top]
+		ri := s.runMatchLoaded(mp, regs)
+		if ri < 0 {
+			s.regTop = base
+			args := s.arena.ArgSlice(k)
+			loadArgs(args, 0, regs[1:1+k])
+			t := s.arena.Op(n.sym, n.sort, args)
+			t.SetHint(n.sid)
+			return t, nil
+		}
 		if err := s.spend(redex); err != nil {
 			s.regTop = base
 			return nil, err
 		}
 		s.stats.RuleFires++
-		red, err := s.evalBuild(&s.prog.mach.builds[ri], regs, redex)
+		b := &s.prog.mach.builds[ri]
+		if b.op == bMk {
+			if next := s.ruled(b); next != nil {
+				n, mp, frame, at = b, next, regs, top
+				continue
+			}
+		}
+		red, err := s.evalBuild(b, regs, redex, depth+1)
 		s.regTop = base
 		return red, err
 	}
-	s.regTop = base
-	k := len(n.kids)
-	args := s.arena.ArgSlice(k)
-	loadArgs(args, 0, s.regStack[base+1:base+1+k])
-	t := s.arena.Op(n.sym, n.sort, args)
-	t.SetHint(n.sid)
-	return t, nil
 }
 
 // reduceIfCompiled is reduceIf on the machine tier: identical lazy
 // semantics and step accounting, scratch allocation for the error and
 // residual cases.
-func (s *System) reduceIfCompiled(t *term.Term) (*term.Term, error) {
-	cond, err := s.normalizeCompiled(t.Args[0])
+func (s *System) reduceIfCompiled(t *term.Term, depth int) (*term.Term, error) {
+	cond, err := s.normalizeCompiled(t.Args[0], depth+1)
 	if err != nil {
 		return nil, err
 	}
@@ -662,19 +744,19 @@ func (s *System) reduceIfCompiled(t *term.Term) (*term.Term, error) {
 		if err := s.spend(t); err != nil {
 			return nil, err
 		}
-		return s.normalizeCompiled(t.Args[1])
+		return s.normalizeCompiled(t.Args[1], depth+1)
 	case cond.IsFalse():
 		if err := s.spend(t); err != nil {
 			return nil, err
 		}
-		return s.normalizeCompiled(t.Args[2])
+		return s.normalizeCompiled(t.Args[2], depth+1)
 	default:
 		// Symbolic condition: normalize branches and keep the if.
-		then, err := s.normalizeCompiled(t.Args[1])
+		then, err := s.normalizeCompiled(t.Args[1], depth+1)
 		if err != nil {
 			return nil, err
 		}
-		els, err := s.normalizeCompiled(t.Args[2])
+		els, err := s.normalizeCompiled(t.Args[2], depth+1)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@
 //
 // A System separates the immutable compiled form of a specification (rule
 // list, head-symbol index, shared term interner) from mutable evaluation
-// state (fuel accounting, memo table, statistics). Fork creates a sibling
+// state (fuel accounting, statistics). Fork creates a sibling
 // System over the same compiled form in O(1)ish time; parallel checker
 // drivers fork one System per worker because the mutable state must not
 // be shared between goroutines.
@@ -77,7 +77,9 @@ func (r Rule) String() string { return fmt.Sprintf("[%s] %s -> %s", r.Label, r.L
 type NativeFunc func(args []*term.Term) (*term.Term, bool)
 
 // ErrFuel is returned (wrapped) when normalization exceeds the step limit,
-// which in practice means a non-terminating axiom set.
+// or — on the machine tier — nests rule applications deeper than its
+// register stack allows; in practice both mean a non-terminating axiom
+// set.
 type ErrFuel struct {
 	Steps int
 	Last  *term.Term
@@ -131,13 +133,12 @@ type Stats struct {
 	Steps int
 	// RuleFires counts axiom applications.
 	RuleFires int
-	// MemoHits counts ground subterms answered from the memo table.
-	MemoHits int
 	// NativeCalls counts native (Go-implemented) operation evaluations.
 	NativeCalls int
 	// CompiledEvals counts outermost Normalize calls served by the
-	// compiled machine tier; InterpEvals counts the ones that fell back
-	// to the interpreter (memo, trace, outermost strategy, or ablation).
+	// compiled machine tier; InterpEvals counts the ones that ran on the
+	// reference interpreter (trace, outermost strategy, or
+	// WithoutCompiledTier).
 	CompiledEvals int
 	InterpEvals   int
 }
@@ -148,7 +149,6 @@ func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Steps:         s.Steps + o.Steps,
 		RuleFires:     s.RuleFires + o.RuleFires,
-		MemoHits:      s.MemoHits + o.MemoHits,
 		NativeCalls:   s.NativeCalls + o.NativeCalls,
 		CompiledEvals: s.CompiledEvals + o.CompiledEvals,
 		InterpEvals:   s.InterpEvals + o.InterpEvals,
@@ -156,15 +156,9 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("steps=%d rule-fires=%d memo-hits=%d native-calls=%d compiled-evals=%d interp-evals=%d",
-		s.Steps, s.RuleFires, s.MemoHits, s.NativeCalls, s.CompiledEvals, s.InterpEvals)
+	return fmt.Sprintf("steps=%d rule-fires=%d native-calls=%d compiled-evals=%d interp-evals=%d",
+		s.Steps, s.RuleFires, s.NativeCalls, s.CompiledEvals, s.InterpEvals)
 }
-
-// DefaultMemoLimit is the memo table's eviction bound: once the table
-// holds more entries than this, it is discarded and rebuilt from empty
-// (bounding memory on long-lived systems at the cost of re-deriving
-// normal forms).
-const DefaultMemoLimit = 1 << 18
 
 // Option configures a System.
 type Option func(*System)
@@ -185,47 +179,12 @@ func WithNative(op string, f NativeFunc) Option {
 	return func(sys *System) { sys.native[op] = f }
 }
 
-// WithoutRuleIndex disables head-symbol indexing, forcing a linear scan
-// over all rules at every redex (it implies WithoutDiscTree — a
-// discrimination tree is an index). Exists only for the ablation
-// benchmark.
-func WithoutRuleIndex() Option { return func(sys *System) { sys.noIndex = true } }
-
-// WithoutDiscTree disables both compiled matchers — the machine tier
-// and the discrimination-tree automaton with its slot-indexed RHS
-// templates — falling back to per-rule subst.MatchBind over the
-// head-symbol index. Exists for the ablation benchmark and as the
-// reference semantics in the differential tests.
-func WithoutDiscTree() Option { return func(sys *System) { sys.noDiscTree = true } }
-
 // WithoutCompiledTier disables the machine tier (flat match/build
 // programs over arena scratch terms), so evaluation runs on the
-// interpreter's discrimination-tree walk. Exists for the ablation
-// benchmark and as one half of the compiled-vs-interpreted differential
-// tests.
+// reference interpreter: per-rule subst.MatchBind over the head-symbol
+// index. It is one half of the compiled-vs-interpreted differential
+// tests and the offline oracle the benchmark checks replies against.
 func WithoutCompiledTier() Option { return func(sys *System) { sys.noCompiled = true } }
-
-// WithMemo enables memoization of normal forms for ground subterms. The
-// memo is keyed by hash-consed (pointer-canonical) terms from the
-// system's interner, so structurally distinct terms can never collide on
-// an entry. Memory is bounded by an eviction policy: when the table
-// exceeds its bound (DefaultMemoLimit entries unless overridden with
-// WithMemoLimit), the whole table is dropped and rebuilt from empty.
-func WithMemo() Option {
-	return func(sys *System) { sys.memo = make(map[*term.Term]*term.Term) }
-}
-
-// WithMemoLimit sets the memo table's eviction bound (entries). It
-// implies WithMemo. A small limit is useful in tests exercising the
-// eviction path and on memory-constrained workloads.
-func WithMemoLimit(n int) Option {
-	return func(sys *System) {
-		sys.memoLimit = n
-		if sys.memo == nil {
-			sys.memo = make(map[*term.Term]*term.Term)
-		}
-	}
-}
 
 // WithStop installs a cancellation flag: when flag becomes true, the
 // next stop-poll (every 1024 steps) abandons the normalization with an
@@ -251,8 +210,8 @@ func WithFault(hook func() error) Option {
 }
 
 // WithInterner makes the system hash-cons into the given interner instead
-// of a private one, so canonical terms (and memo identity) are shared
-// with other systems or a generator.
+// of a private one, so canonical terms are shared with other systems or
+// a generator.
 func WithInterner(in *term.Interner) Option {
 	return func(sys *System) { sys.intern = in }
 }
@@ -263,23 +222,13 @@ type program struct {
 	sp    *spec.Spec
 	rules []Rule
 	index map[string][]int // head symbol -> rule indices, in priority order
-	// allRules is the 0..len(rules) identity list the WithoutRuleIndex
-	// ablation scans; precomputed once so the ablation measures indexing,
-	// not per-redex allocator pressure.
-	allRules []int
-	// tries is the interpreter tier's matching automaton: head symbol ->
-	// discrimination tree over that symbol's rule group.
-	tries map[string]*trie
-	// tmpls holds one compiled RHS build template per rule, indexed like
-	// rules.
-	tmpls []template
 	// mach is the machine tier: flat register-addressed match programs
 	// and arena-targeted build programs (machine.go).
 	mach *machine
 }
 
 // System is a compiled rewrite system for one specification. A System is
-// stateful (fuel accounting, memo table, statistics) and therefore NOT
+// stateful (fuel accounting, statistics) and therefore NOT
 // safe for concurrent use; call Fork to get an independent sibling over
 // the same compiled rules for each goroutine.
 type System struct {
@@ -287,14 +236,10 @@ type System struct {
 	native     map[string]NativeFunc
 	strategy   Strategy
 	maxSteps   int
-	noIndex    bool
-	noDiscTree bool
 	noCompiled bool
 	trace      func(TraceStep)
 
-	intern    *term.Interner
-	memo      map[*term.Term]*term.Term
-	memoLimit int
+	intern *term.Interner
 	// stop, when non-nil, is polled every stopCheckMask+1 steps; a true
 	// value abandons the normalization with ErrCanceled. Set per request
 	// via WithStop; Fork deliberately does not inherit it (a fork serves
@@ -305,7 +250,7 @@ type System struct {
 	// does not inherit it.
 	fault func() error
 
-	// disp folds the native table and the discrimination-tree index into
+	// disp folds the native table and the head-symbol rule index into
 	// one map so the hot path pays a single string hash per redex. Built
 	// after options are applied (New and Fork), since WithNative changes it.
 	disp map[string]dispatch
@@ -322,14 +267,8 @@ type System struct {
 	gen uint32
 
 	stats Stats
-	// bindBuf is the reusable binding buffer for the MatchBind fallback
-	// path (ablations and WithoutDiscTree forks).
+	// bindBuf is the interpreter's reusable MatchBind binding buffer.
 	bindBuf subst.Bindings
-	// tm and buildStack are the reusable matching-automaton state: the
-	// trie walk's stack and capture frame, and the template evaluator's
-	// value stack.
-	tm         trieMatcher
-	buildStack []*term.Term
 	// useCompiled, resolved by buildDispatch, routes the Eval seam: true
 	// selects the machine tier, false the interpreter. regStack is the
 	// machine's register stack — each rule fire carves a frame at regTop
@@ -362,9 +301,8 @@ type System struct {
 // the paper's practice of listing the general case after the specific).
 func New(sp *spec.Spec, opts ...Option) *System {
 	sys := &System{
-		native:    make(map[string]NativeFunc),
-		maxSteps:  1 << 20,
-		memoLimit: DefaultMemoLimit,
+		native:   make(map[string]NativeFunc),
+		maxSteps: 1 << 20,
 	}
 	// Default natives: same?/isSame?-style equality and hash on atoms.
 	for _, op := range sp.Sig.Ops() {
@@ -383,8 +321,8 @@ func New(sp *spec.Spec, opts ...Option) *System {
 	}
 	prog := &program{sp: sp, index: make(map[string][]int)}
 	for _, a := range sp.All {
-		// Rules are stored hash-consed so substitution results built from
-		// them stay canonical on the memoized path.
+		// Rules are stored hash-consed: the machine's build trees reuse
+		// the RHS nodes as constants and stamp them normal in place.
 		prog.rules = append(prog.rules, Rule{
 			Label: a.Label,
 			Owner: a.Owner,
@@ -395,11 +333,6 @@ func New(sp *spec.Spec, opts ...Option) *System {
 	for i, r := range prog.rules {
 		prog.index[r.LHS.Sym] = append(prog.index[r.LHS.Sym], i)
 	}
-	prog.allRules = make([]int, len(prog.rules))
-	for i := range prog.allRules {
-		prog.allRules[i] = i
-	}
-	prog.tries, prog.tmpls = compileRules(prog.rules)
 	prog.mach = compileMachine(prog.rules)
 	sys.prog = prog
 	sys.buildDispatch()
@@ -409,14 +342,14 @@ func New(sp *spec.Spec, opts ...Option) *System {
 // dispatch is the per-head-symbol entry of the merged hot-path table.
 type dispatch struct {
 	native NativeFunc
-	tr     *trie
+	rules  []int // interpreter: candidate rule indices in priority order
 	mp     *matchProg
 }
 
 func (s *System) buildDispatch() {
-	s.disp = make(map[string]dispatch, len(s.prog.tries)+len(s.native))
-	for sym, tr := range s.prog.tries {
-		s.disp[sym] = dispatch{tr: tr, mp: s.prog.mach.progs[sym]}
+	s.disp = make(map[string]dispatch, len(s.prog.index)+len(s.native))
+	for sym, rules := range s.prog.index {
+		s.disp[sym] = dispatch{rules: rules, mp: s.prog.mach.progs[sym]}
 	}
 	for sym, nf := range s.native {
 		d := s.disp[sym]
@@ -426,13 +359,11 @@ func (s *System) buildDispatch() {
 	s.gen = genCounter.Add(1)
 	s.plainSpend = s.stop == nil && s.fault == nil
 	// Tier selection: the machine serves the default configuration —
-	// innermost strategy, no memo, no trace, compiled matching enabled.
-	// Everything else (memoization wants interned intermediate results,
-	// tracing wants to see each step, outermost is a different strategy,
-	// the ablations exist to measure the interpreter) falls back to the
-	// interpreter tier behind the same Normalize seam.
-	s.useCompiled = !s.noCompiled && !s.noDiscTree && !s.noIndex &&
-		s.memo == nil && s.trace == nil && s.strategy == Innermost
+	// innermost strategy, no trace. Everything else (tracing wants to see
+	// each step, outermost is a different strategy, WithoutCompiledTier
+	// asks for the reference) runs on the interpreter tier behind the
+	// same Normalize seam.
+	s.useCompiled = !s.noCompiled && s.trace == nil && s.strategy == Innermost
 	if s.useCompiled {
 		if s.arena == nil {
 			s.arena = term.NewArena()
@@ -461,8 +392,8 @@ func (s *System) Tier() string {
 var genCounter atomic.Uint32
 
 // Fork returns an independent System over the same compiled rules, rule
-// index and interner, with fresh mutable state (zero Stats, empty memo if
-// memoization was enabled, no trace listener). Options may adjust the
+// index and interner, with fresh mutable state (zero Stats, no trace
+// listener). Options may adjust the
 // fork, e.g. WithStrategy for a different evaluation order. Fork is how
 // parallel checker drivers give each worker goroutine its own engine
 // without recompiling the specification.
@@ -472,17 +403,11 @@ func (s *System) Fork(opts ...Option) *System {
 		native:     make(map[string]NativeFunc, len(s.native)),
 		strategy:   s.strategy,
 		maxSteps:   s.maxSteps,
-		noIndex:    s.noIndex,
-		noDiscTree: s.noDiscTree,
 		noCompiled: s.noCompiled,
 		intern:     s.intern,
-		memoLimit:  s.memoLimit,
 	}
 	for k, v := range s.native {
 		ns.native[k] = v
-	}
-	if s.memo != nil {
-		ns.memo = make(map[*term.Term]*term.Term)
 	}
 	for _, o := range opts {
 		o(ns)
@@ -589,7 +514,7 @@ func (s *System) Normalize(t *term.Term) (*term.Term, error) {
 	defer func() { s.active = false }()
 	if s.useCompiled {
 		s.stats.CompiledEvals++
-		nf, err := s.normalizeCompiled(t)
+		nf, err := s.normalizeCompiled(t, 0)
 		if err != nil {
 			// The error value may reference scratch terms (ErrFuel.Last);
 			// surrender the chunks instead of recycling them.
@@ -645,19 +570,21 @@ func (s *System) spendSlow(last *term.Term) error {
 			// article to every caller.
 			var fe *ErrFuel
 			if errors.As(err, &fe) && fe.Last == nil {
-				fe.Steps = s.stats.Steps - (s.budget - s.maxSteps)
+				fe.Steps = s.spent()
 				fe.Last = last
 			}
 			return err
 		}
 	}
 	if s.stats.Steps > s.budget {
-		// Report the steps actually spent by this outermost call (the
-		// budget was set to the step counter at entry plus maxSteps).
-		return &ErrFuel{Steps: s.stats.Steps - (s.budget - s.maxSteps), Last: last}
+		return &ErrFuel{Steps: s.spent(), Last: last}
 	}
 	return nil
 }
+
+// spent reports the steps charged by the current outermost Normalize
+// call (the budget was set to the step counter at entry plus maxSteps).
+func (s *System) spent() int { return s.stats.Steps - (s.budget - s.maxSteps) }
 
 // normalizeInnermost is call-by-value evaluation with lazy if and strict
 // error.
@@ -666,30 +593,12 @@ func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
 	case term.Var, term.Atom, term.Err:
 		return t, nil
 	}
-	// The normal-form tag serves the non-memoized path; a memoized system
-	// already answers re-normalizations in O(1) through canonical-pointer
-	// probes, and tagging first would bypass (and under-count) the memo.
-	if s.memo == nil && t.NormalTag() == s.gen {
+	if t.NormalTag() == s.gen {
 		return t, nil
 	}
 
 	if t.IsIf() {
 		return s.reduceIf(t)
-	}
-
-	// The memo is keyed by the canonical (hash-consed) node, so two
-	// structurally distinct terms can never share an entry; the interner
-	// resolves bucket collisions structurally before handing out an
-	// identity. Canon is O(1) once a term is interned, and results are
-	// stored interned, so steady-state probes touch no structure.
-	var memoKey *term.Term
-	if s.memo != nil && t.IsGround() {
-		memoKey = s.intern.Canon(t)
-		if nf, ok := s.memo[memoKey]; ok {
-			s.stats.MemoHits++
-			return nf, nil
-		}
-		t = memoKey // canonical args make child memo probes O(1)
 	}
 
 	// Normalize arguments first, copying the argument vector only when
@@ -717,28 +626,14 @@ func (s *System) normalizeInnermost(t *term.Term) (*term.Term, error) {
 	}
 	cur := t
 	if args != nil {
-		if memoKey != nil {
-			cur = s.intern.OpTerms(t.Sym, t.Sort, args)
-		} else {
-			cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
-		}
+		cur = &term.Term{Kind: term.Op, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}
 
 	nf, err := s.rootThenRecurse(cur)
 	if err != nil {
 		return nil, err
 	}
-	if memoKey != nil {
-		nf = s.intern.Canon(nf)
-		if len(s.memo) >= s.memoLimit {
-			// Bound memory: drop the memo table once it reaches the
-			// eviction bound and start over.
-			s.memo = make(map[*term.Term]*term.Term)
-		}
-		s.memo[memoKey] = nf
-	} else {
-		nf.MarkNormalTag(s.gen)
-	}
+	nf.MarkNormalTag(s.gen)
 	return nf, nil
 }
 
@@ -754,46 +649,36 @@ func (s *System) rootThenRecurse(cur *term.Term) (*term.Term, error) {
 	return cur, nil
 }
 
-// stepRoot tries native evaluation then rule matching at the root. Rule
-// matching goes through the compiled discrimination tree by default; the
-// WithoutDiscTree and WithoutRuleIndex ablations fall back to per-rule
-// subst.MatchBind.
+// stepRoot tries native evaluation, then each of the head symbol's rules
+// in priority order with one-way structural matching (subst.MatchBind);
+// the first match fires and its right-hand side is instantiated with
+// Bindings.Build. This is the reference reading of the axioms that the
+// machine tier is differentially tested against.
 func (s *System) stepRoot(cur *term.Term) (*term.Term, bool, error) {
-	if s.noDiscTree || s.noIndex {
-		if nf, ok := s.native[cur.Sym]; ok {
-			if out, applied := nf(cur.Args); applied {
-				return s.fireNative(cur, out)
-			}
-		}
-		return s.stepRootMatchBind(cur)
-	}
 	d := s.disp[cur.Sym]
 	if d.native != nil {
 		if out, applied := d.native(cur.Args); applied {
 			return s.fireNative(cur, out)
 		}
 	}
-	if d.tr == nil {
-		return nil, false, nil
+	for _, ri := range d.rules {
+		r := &s.prog.rules[ri]
+		b, ok := subst.MatchBind(r.LHS, cur, s.bindBuf[:0])
+		s.bindBuf = b // keep the (possibly grown) buffer for reuse
+		if !ok {
+			continue
+		}
+		if err := s.spend(cur); err != nil {
+			return nil, false, err
+		}
+		s.stats.RuleFires++
+		out := b.Build(r.RHS)
+		if s.trace != nil {
+			s.trace(TraceStep{Rule: *r, Before: cur, After: out})
+		}
+		return out, true, nil
 	}
-	ri, frame := s.tm.match(d.tr, cur, len(s.prog.rules))
-	if ri < 0 {
-		return nil, false, nil
-	}
-	if err := s.spend(cur); err != nil {
-		return nil, false, err
-	}
-	s.stats.RuleFires++
-	var in *term.Interner
-	if s.memo != nil {
-		in = s.intern
-	}
-	var out *term.Term
-	out, s.buildStack = s.prog.tmpls[ri].build(frame, in, s.buildStack)
-	if s.trace != nil {
-		s.trace(TraceStep{Rule: s.prog.rules[ri], Before: cur, After: out})
-	}
-	return out, true, nil
+	return nil, false, nil
 }
 
 // fireNative accounts for one successful native evaluation.
@@ -806,41 +691,6 @@ func (s *System) fireNative(cur, out *term.Term) (*term.Term, bool, error) {
 		s.trace(TraceStep{Rule: Rule{Label: "native:" + cur.Sym}, Before: cur, After: out})
 	}
 	return out, true, nil
-}
-
-// stepRootMatchBind is the pre-automaton matching loop: try each
-// candidate rule in priority order with one-way structural matching.
-func (s *System) stepRootMatchBind(cur *term.Term) (*term.Term, bool, error) {
-	for _, ri := range s.candidates(cur.Sym) {
-		r := &s.prog.rules[ri]
-		b, ok := subst.MatchBind(r.LHS, cur, s.bindBuf[:0])
-		s.bindBuf = b // keep the (possibly grown) buffer for reuse
-		if !ok {
-			continue
-		}
-		if err := s.spend(cur); err != nil {
-			return nil, false, err
-		}
-		s.stats.RuleFires++
-		var out *term.Term
-		if s.memo != nil {
-			out = b.Build(s.intern, r.RHS)
-		} else {
-			out = b.Build(nil, r.RHS)
-		}
-		if s.trace != nil {
-			s.trace(TraceStep{Rule: *r, Before: cur, After: out})
-		}
-		return out, true, nil
-	}
-	return nil, false, nil
-}
-
-func (s *System) candidates(head string) []int {
-	if s.noIndex {
-		return s.prog.allRules
-	}
-	return s.prog.index[head]
 }
 
 // reduceIf gives the conditional its lazy semantics.

@@ -572,7 +572,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.exposition(w, hits, misses, pHits, pMisses,
-		[6]int64{int64(st.Steps), int64(st.RuleFires), int64(st.MemoHits), int64(st.NativeCalls),
+		// The engine has no memo table; adt_engine_memo_hits_total stays
+		// exported at 0 so the metric name set is unchanged.
+		[6]int64{int64(st.Steps), int64(st.RuleFires), 0, int64(st.NativeCalls),
 			int64(st.CompiledEvals), int64(st.InterpEvals)}, interned)
 
 	fmt.Fprintln(w, "# HELP adt_registry_versions Registry versions held (base library included).")

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"algspec/internal/serve"
 )
@@ -100,7 +102,11 @@ func checkGolden(t *testing.T, name, got string) {
 // against the shipped Queue/Stack/Symboltable/Array specs, and each
 // error path with its own status code and golden body.
 func TestE2EEndpoints(t *testing.T) {
-	ts := newTestServer(t, serve.Config{Workers: 2, Timeout: 0}, loopSrc)
+	// The fuel is far beyond what spin(go) can burn before its 30 ms
+	// deadline: at the default budget the machine exhausts the fuel of a
+	// tail-recursive loop in a few milliseconds, which would turn the
+	// deadline case into a 422.
+	ts := newTestServer(t, serve.Config{Workers: 2, Timeout: 0, Fuel: 1 << 40}, loopSrc)
 	cases := []struct {
 		name     string
 		method   string
@@ -330,4 +336,47 @@ func jsonString(s string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
+}
+
+// TestE2EDivergentUploadIsFuel422 pins the fuel contract at full scale:
+// an uploaded spec that diverges on the compiled tier, normalized at the
+// default fuel under the `adt serve` default deadline, must end in 422
+// well before the deadline (504), and must not take the server down.
+// spin recurses in tail position and runs out of fuel exactly (steps =
+// fuel+1); grow recurses under a constructor, nesting once per step, and
+// is stopped by the machine's nesting bound before the goroutine stack
+// overflows.
+func TestE2EDivergentUploadIsFuel422(t *testing.T) {
+	const src = "spec Spin\n  uses Bool\n  ops\n    c : -> Spin\n    s : Spin -> Spin\n    spin : Spin -> Spin\n    grow : Spin -> Spin\n  vars x : Spin\n  axioms\n    [s] spin(x) = spin(x)\n    [g] grow(x) = s(grow(x))\nend\n"
+	const defaultFuel = 1 << 20
+	ts := newTestServer(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	b, _ := json.Marshal(map[string]string{"source": src})
+	code, body := do(t, ts, "POST", "/v1/specs", string(b))
+	if code != 201 {
+		t.Fatalf("upload: %d %s", code, body)
+	}
+	var up serve.SpecUploadResponse
+	if err := json.Unmarshal([]byte(body), &up); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		term      string
+		wantSteps int // 0: any count within the fuel
+	}{
+		{"spin(c)", defaultFuel + 1},
+		{"grow(c)", 0},
+	} {
+		req, _ := json.Marshal(serve.NormalizeRequest{Spec: "Spin", Version: up.Version, Term: tc.term})
+		code, body := do(t, ts, "POST", "/v1/normalize", string(req))
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422; body:\n%s", tc.term, code, body)
+		}
+		var er serve.ErrorResponse
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Steps <= 0 || er.Steps > defaultFuel+1 || tc.wantSteps != 0 && er.Steps != tc.wantSteps {
+			t.Fatalf("%s: steps = %d, want %d (0: any count up to the fuel)", tc.term, er.Steps, tc.wantSteps)
+		}
+	}
 }

@@ -68,10 +68,10 @@ func MatchBind(pattern, t *term.Term, buf Bindings) (Bindings, bool) {
 }
 
 // Build applies the bindings to t. Unbound variables are left in place
-// and untouched subterms are shared, exactly like Subst.Apply. When in is
-// non-nil every rebuilt node is interned, so a term built from an
-// interned t comes out fully canonical.
-func (b Bindings) Build(in *term.Interner, t *term.Term) *term.Term {
+// and untouched subterms are shared, exactly like Subst.Apply: an
+// argument vector is copied only once its first child actually changes,
+// so a subtree without bound variables allocates nothing.
+func (b Bindings) Build(t *term.Term) *term.Term {
 	switch t.Kind {
 	case term.Var:
 		if v, ok := b.Lookup(t.Sym); ok {
@@ -80,23 +80,22 @@ func (b Bindings) Build(in *term.Interner, t *term.Term) *term.Term {
 		return t
 	case term.Atom, term.Err:
 		return t
-	default:
-		changed := false
-		args := make([]*term.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = b.Build(in, a)
-			if args[i] != a {
-				changed = true
-			}
-		}
-		if !changed {
-			return t
-		}
-		if in != nil {
-			return in.OpTerms(t.Sym, t.Sort, args)
-		}
-		return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
 	}
+	var args []*term.Term
+	for i, a := range t.Args {
+		na := b.Build(a)
+		if args == nil && na != a {
+			args = make([]*term.Term, len(t.Args))
+			copy(args, t.Args[:i])
+		}
+		if args != nil {
+			args[i] = na
+		}
+	}
+	if args == nil {
+		return t
+	}
+	return &term.Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort, Args: args}
 }
 
 // Subst converts the bindings to a map-backed substitution (for callers

@@ -65,25 +65,31 @@ func TestMatchBindBufferReuse(t *testing.T) {
 	}
 }
 
-func TestBuildInterned(t *testing.T) {
-	in := term.NewInterner()
-	q := in.Var("q", "Queue")
-	rhs := in.Op("front", "Item", in.Op("remove", "Queue", q))
-	val := in.Op("add", "Queue", in.Op("new", "Queue"), in.Atom("x", "Item"))
+// Build copies an argument vector only from its first changed child on:
+// the result agrees with Subst.Apply, and every subtree without a bound
+// variable is the pattern's own node, not a copy.
+func TestBuildCopyOnWrite(t *testing.T) {
+	q := term.NewVar("q", "Queue")
+	free := term.NewVar("free", "Item")
+	ground := bOp("new")
+	rhs := bOp("pair", ground, bOp("remove", q), free)
+	val := bOp("add", bOp("new"), term.NewAtom("x", "Item"))
 	b := Bindings{{Name: "q", Term: val}}
-	out := b.Build(in, rhs)
-	if !in.Interned(out) {
-		t.Fatal("Build with an interner must return a canonical term")
+	out := b.Build(rhs)
+	if want := (Subst{"q": val}).Apply(rhs); !out.Equal(want) {
+		t.Fatalf("Build = %s, Apply = %s", out, want)
 	}
-	if out.String() != "front(remove(add(new, 'x)))" {
-		t.Fatalf("Build produced %s", out)
+	if out.Args[0] != ground || out.Args[2] != free {
+		t.Fatal("unchanged children must be shared, not copied")
 	}
-	if b.Build(in, rhs) != out {
-		t.Fatal("rebuilding the same term must return the same canonical node")
+	if out.Args[1].Args[0] != val {
+		t.Fatal("a bound variable must be replaced by its binding itself")
 	}
-	// Without an interner the result is structurally identical.
-	if !b.Build(nil, rhs).Equal(out) {
-		t.Fatal("interned and plain Build disagree")
+	if got := b.Build(ground); got != ground {
+		t.Fatal("a subtree without bound variables must be returned as is")
+	}
+	if rhs.Args[1].Args[0] != q {
+		t.Fatal("Build must not write into the pattern")
 	}
 }
 

@@ -2,9 +2,8 @@
 // canonical ("interned") terms in which structural equality coincides
 // with pointer equality: interning the same shape twice returns the same
 // *Term. This gives the rewrite engine an O(1) Equal on its hot path and
-// a collision-proof identity key for its memo table — the memo was
-// previously keyed on a raw structural hash, and a hash collision
-// silently returned the wrong normal form.
+// callers a collision-proof identity key for tables keyed by term (a raw
+// structural hash is not one: a collision silently conflates terms).
 //
 // Interned terms are immutable like all terms, so they may be shared
 // freely between goroutines; the Interner itself is safe for concurrent

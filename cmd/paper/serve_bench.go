@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,11 +23,12 @@ import (
 // and warm (same request answered from the shared caches), then the
 // cluster scale-out rows: aggregate throughput of the consistent-hash
 // cluster at 1 and 3 replicas over a working set larger than any single
-// replica's cache. The warm/cold ratio is the server's headline claim —
-// a cache hit must be at least serveWarmFactor times faster — and the
-// 3-vs-1 replica ratio is the cluster's: partitioning the keyspace must
-// buy at least clusterScaleFactor aggregate RPS. Either decaying fails
-// the export, and CI with it.
+// replica's cache, and last one author's spec edit cycle (upload,
+// check, pinned normalizes). The warm/cold ratio is the server's
+// headline claim — a cache hit must be at least serveWarmFactor times
+// faster — and the 3-vs-1 replica ratio is the cluster's: partitioning
+// the keyspace must buy at least clusterScaleFactor aggregate RPS.
+// Either decaying fails the export, and CI with it.
 const (
 	serveWarmFactor    = 5
 	clusterScaleFactor = 2
@@ -43,7 +45,8 @@ func serveBenchExport(out io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	rows := []benchRow{cold, warm, rps1, rps3}
+	edit := measure("serve_spec_edit", benchServeSpecEdit)
+	rows := []benchRow{cold, warm, rps1, rps3, edit}
 	data, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		return err
@@ -54,8 +57,8 @@ func serveBenchExport(out io.Writer, path string) error {
 	}
 	ratio := cold.NsPerOp / warm.NsPerOp
 	scale := rps1.NsPerOp / rps3.NsPerOp
-	fmt.Fprintf(out, "wrote %d benchmark rows to %s (cold %.0f ns/op, warm %.0f ns/op, %.1fx; cluster %.0f -> %.0f rps, %.1fx)\n",
-		len(rows), path, cold.NsPerOp, warm.NsPerOp, ratio, 1e9/rps1.NsPerOp, 1e9/rps3.NsPerOp, scale)
+	fmt.Fprintf(out, "wrote %d benchmark rows to %s (cold %.0f ns/op, warm %.0f ns/op, %.1fx; cluster %.0f -> %.0f rps, %.1fx; spec edit %.0f ns/op)\n",
+		len(rows), path, cold.NsPerOp, warm.NsPerOp, ratio, 1e9/rps1.NsPerOp, 1e9/rps3.NsPerOp, scale, edit.NsPerOp)
 	if ratio < serveWarmFactor {
 		return fmt.Errorf("warm cache is only %.1fx faster than cold, want >= %dx", ratio, serveWarmFactor)
 	}
@@ -237,6 +240,73 @@ func benchServeNormalize(cacheSize int, prime bool) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			request()
+		}
+	}
+}
+
+// specEditTemplate is the spec an author edits in benchServeSpecEdit,
+// with its name (and principal sort) abstracted as @T; it mirrors
+// internal/serve's BenchmarkServeSpecEdit.
+const specEditTemplate = `spec @T
+  uses Bool, Nat
+  ops
+    start : -> @T
+    inc   : @T -> @T
+    undo  : @T -> @T
+    value : @T -> Nat
+  vars
+    c : @T
+  axioms
+    [u1] undo(start) = error
+    [u2] undo(inc(c)) = c
+    [v1] value(start) = zero
+    [v2] value(inc(c)) = succ(value(c))
+end
+`
+
+// benchServeSpecEdit measures one edit cycle in process: upload a spec
+// under a fresh name (so every iteration compiles a new registry
+// version), check it, then run three normalizes pinned to the version
+// the upload minted.
+func benchServeSpecEdit(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(path string, in any, wantCode int, out any) {
+		body, err := json.Marshal(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != wantCode {
+			b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	terms := []string{"value(inc(inc(start)))", "value(undo(inc(inc(start))))", "undo(start)"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("Counter%d", i)
+		src := strings.ReplaceAll(specEditTemplate, "@T", name)
+		var up serve.SpecUploadResponse
+		post("/v1/specs", serve.SpecUploadRequest{Source: src}, http.StatusCreated, &up)
+		var check serve.CheckResponse
+		post("/v1/check", serve.CheckRequest{Source: src}, http.StatusOK, &check)
+		if !check.OK {
+			b.Fatalf("check of %s failed: %+v", name, check)
+		}
+		for _, t := range terms {
+			var nf serve.NormalizeResponse
+			post("/v1/normalize", serve.NormalizeRequest{Spec: name, Version: up.Version, Term: t}, http.StatusOK, &nf)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestServeBenchExport runs the -serve-bench-out path end to end: four
+// TestServeBenchExport runs the -serve-bench-out path end to end: five
 // rows land in the file, the warm row beats cold by the exported factor
 // and the 3-replica cluster row beats the 1-replica row by the
 // scale-out factor (the export itself fails below either gate).
@@ -30,7 +30,7 @@ func TestServeBenchExport(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, data)
 	}
-	want := []string{"serve_normalize_cold", "serve_normalize_warm", "cluster_rps_1", "cluster_rps_3"}
+	want := []string{"serve_normalize_cold", "serve_normalize_warm", "cluster_rps_1", "cluster_rps_3", "serve_spec_edit"}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %+v", rows)
 	}

@@ -131,6 +131,9 @@ func Check(sp *spec.Spec) *Report {
 // (internal/completion) reuses exactly this superposition machinery
 // over its evolving rule set.
 func Overlaps(outer, inner *spec.Axiom, same bool) []*CriticalPair {
+	if inner.LHS.Kind == term.Op && !hasHead(outer.LHS, inner.LHS.Sym, same) {
+		return nil
+	}
 	var out []*CriticalPair
 	// Rename the two axioms apart.
 	oLHS := subst.RenameApart(outer.LHS, 1)
@@ -169,6 +172,23 @@ func Overlaps(outer, inner *spec.Axiom, same bool) []*CriticalPair {
 		})
 	}
 	return out
+}
+
+// hasHead reports whether some non-if operation subterm of t (the root
+// excluded when skipRoot) has head sym: the only positions at which
+// Overlaps can superpose an LHS headed by sym. Renaming apart touches
+// variables only, so asking the unrenamed term gives the same answer
+// without building the four renamed copies.
+func hasHead(t *term.Term, sym string, skipRoot bool) bool {
+	if !skipRoot && t.Kind == term.Op && !t.IsIf() && t.Sym == sym {
+		return true
+	}
+	for _, a := range t.Args {
+		if hasHead(a, sym, false) {
+			return true
+		}
+	}
+	return false
 }
 
 // judge normalizes both contractions and classifies the pair.

@@ -16,6 +16,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,6 +53,20 @@ type sysKey struct {
 func NewEnv() *Env {
 	return &Env{
 		specs:   make(map[string]*spec.Spec),
+		systems: make(map[sysKey]*rewrite.System),
+	}
+}
+
+// Clone returns a new environment holding the same checked
+// specifications, in the same load order, with an empty system cache.
+// Checked specs are immutable, so the clone shares them with e: loading
+// into the clone never touches e, and the clone compiles its own
+// rewrite systems (and so owns its own interners). Like Load, Clone
+// must not run concurrently with loading into e.
+func (e *Env) Clone() *Env {
+	return &Env{
+		specs:   maps.Clone(e.specs),
+		order:   slices.Clone(e.order),
 		systems: make(map[sysKey]*rewrite.System),
 	}
 }

@@ -127,6 +127,42 @@ func TestSystemCaching(t *testing.T) {
 	}
 }
 
+// A clone shares the checked specs but not the system cache, and what
+// is loaded into it stays out of the original.
+func TestCloneIsolation(t *testing.T) {
+	env := speclib.BaseEnv()
+	baseSys, err := env.System("Queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := env.Clone()
+	if _, err := c.Load("spec Wrapper\n  uses Queue\nend\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(env.Names()), len(speclib.Names); got != want {
+		t.Errorf("original has %d specs after loading into the clone, want %d", got, want)
+	}
+	if _, ok := env.Get("Wrapper"); ok {
+		t.Error("spec loaded into the clone is visible in the original")
+	}
+	if names := c.Names(); len(names) != len(speclib.Names)+1 || names[len(names)-1] != "Wrapper" {
+		t.Errorf("clone names = %v", names)
+	}
+	if env.MustGet("Queue") != c.MustGet("Queue") {
+		t.Error("clone does not share the original's checked specs")
+	}
+	cloneSys, err := c.System("Queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cloneSys == baseSys || cloneSys.Interner() == baseSys.Interner() {
+		t.Error("clone shares the original's compiled system")
+	}
+	if got := c.MustEval("Wrapper", "front(add(add(new, 'x), 'y))").String(); got != "'x" {
+		t.Errorf("clone eval = %s", got)
+	}
+}
+
 func TestTraceProducesSteps(t *testing.T) {
 	env := speclib.BaseEnv()
 	n := 0

@@ -10,10 +10,12 @@
 // normal-form cache, persisted snapshots, cluster shard keys — key on
 // the version id and keep entries forever.
 //
-// Every version owns a private core.Env (the base library plus the
-// upload), so two versions of "the same" spec never share an interner:
-// canonical-term pointers from different versions cannot collide in the
-// pointer-keyed normal-form cache.
+// An upload's version holds a core.Env cloned from the base version's:
+// it shares the base's checked specs (so the library is parsed and
+// checked once, at New) but owns its compiled rewrite systems and their
+// interners. Two versions of "the same" spec therefore never share an
+// interner: canonical-term pointers from different versions cannot
+// collide in the pointer-keyed normal-form cache.
 package registry
 
 import (
@@ -41,6 +43,8 @@ type Version struct {
 	// the base version (its sources are the embedded library).
 	Source string
 	// Env is the compiled environment: base library plus the upload.
+	// An upload's Env shares the base's checked specs and owns its
+	// compiled systems and interners.
 	Env *core.Env
 
 	// certs lazily caches one confluence certificate per spec name.
@@ -80,8 +84,7 @@ func (v *Version) Certified(name string) bool {
 // All methods are safe for concurrent use; versions are immutable once
 // returned.
 type Registry struct {
-	baseSources []string
-	base        *Version
+	base *Version
 
 	mu    sync.RWMutex
 	byID  map[string]*Version
@@ -116,9 +119,8 @@ func New(baseSources []string) (*Registry, error) {
 		Env:   env,
 	}
 	return &Registry{
-		baseSources: baseSources,
-		base:        base,
-		byID:        map[string]*Version{base.ID: base},
+		base: base,
+		byID: map[string]*Version{base.ID: base},
 	}, nil
 }
 
@@ -161,12 +163,7 @@ func (r *Registry) Register(source string) (v *Version, created bool, err error)
 	// Compile outside the lock: uploads are rare and compilation is the
 	// expensive part. A racing duplicate is resolved below — content
 	// addressing makes both compilations interchangeable.
-	env := core.NewEnv()
-	for _, src := range r.baseSources {
-		if _, err := env.Load(src); err != nil {
-			return nil, false, err
-		}
-	}
+	env := r.base.Env.Clone()
 	added, err := env.Load(canon)
 	if err != nil {
 		return nil, false, err

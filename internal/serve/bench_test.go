@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -71,4 +73,70 @@ func BenchmarkServeNormalizeCold(b *testing.B) {
 // the shared cache (one priming request, then all hits).
 func BenchmarkServeNormalizeWarm(b *testing.B) {
 	benchNormalize(b, serve.DefaultCacheSize, true)
+}
+
+// specEditTemplate is the spec an author edits in BenchmarkServeSpecEdit,
+// with its name (and principal sort) abstracted as @T.
+const specEditTemplate = `spec @T
+  uses Bool, Nat
+  ops
+    start : -> @T
+    inc   : @T -> @T
+    undo  : @T -> @T
+    value : @T -> Nat
+  vars
+    c : @T
+  axioms
+    [u1] undo(start) = error
+    [u2] undo(inc(c)) = c
+    [v1] value(start) = zero
+    [v2] value(inc(c)) = succ(value(c))
+end
+`
+
+// BenchmarkServeSpecEdit measures one author's edit cycle in process:
+// upload a spec under a fresh name (so every iteration compiles a new
+// registry version), check it, then run three normalizes pinned to the
+// version the upload minted.
+func BenchmarkServeSpecEdit(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(path string, in any, wantCode int, out any) {
+		body, err := json.Marshal(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != wantCode {
+			b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	terms := []string{"value(inc(inc(start)))", "value(undo(inc(inc(start))))", "undo(start)"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("Counter%d", i)
+		src := strings.ReplaceAll(specEditTemplate, "@T", name)
+		var up serve.SpecUploadResponse
+		post("/v1/specs", serve.SpecUploadRequest{Source: src}, http.StatusCreated, &up)
+		var check serve.CheckResponse
+		post("/v1/check", serve.CheckRequest{Source: src}, http.StatusOK, &check)
+		if !check.OK {
+			b.Fatalf("check of %s failed: %+v", name, check)
+		}
+		for _, t := range terms {
+			var nf serve.NormalizeResponse
+			post("/v1/normalize", serve.NormalizeRequest{Spec: name, Version: up.Version, Term: t}, http.StatusOK, &nf)
+		}
+	}
 }

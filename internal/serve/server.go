@@ -83,18 +83,17 @@ const DefaultSnapshotEvery = 30 * time.Second
 // Server is the spec-evaluation service. Create with New, mount
 // Handler on an http.Server, and Close on the way out.
 type Server struct {
-	cfg     Config
-	reg     *registry.Registry
-	env     *core.Env // the base version's environment
-	sources []string  // lib + extras, for rebuilding check environments
-	cache   *nfCache
-	parsed  *parseCache
-	pers    *persister
-	met     *metrics
-	rec     rewrite.StatsRecorder
-	pool    *pool
-	conf    *conformState
-	mux     *http.ServeMux
+	cfg    Config
+	reg    *registry.Registry
+	env    *core.Env // the base version's environment
+	cache  *nfCache
+	parsed *parseCache
+	pers   *persister
+	met    *metrics
+	rec    rewrite.StatsRecorder
+	pool   *pool
+	conf   *conformState
+	mux    *http.ServeMux
 
 	// certifiedBase counts the base-library specs carrying a confluence
 	// certificate (the adt_confluence_certified gauge); crossHits counts
@@ -141,13 +140,12 @@ func NewWithSources(cfg Config, sources []string) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     reg,
-		env:     reg.Base().Env,
-		sources: sources,
-		cache:   newNFCache(cfg.CacheSize),
-		parsed:  newParseCache(cfg.CacheSize),
-		met:     newMetrics(),
+		cfg:    cfg,
+		reg:    reg,
+		env:    reg.Base().Env,
+		cache:  newNFCache(cfg.CacheSize),
+		parsed: newParseCache(cfg.CacheSize),
+		met:    newMetrics(),
 	}
 	if cfg.PersistDir != "" {
 		persistCap := cfg.CacheSize

@@ -135,7 +135,12 @@ func (s *Spec) IsConstructor(op string) bool {
 	if !ok || o.Native {
 		return false
 	}
-	return !s.headSet()[op]
+	for _, a := range s.All {
+		if a.Head() == op {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Spec) headSet() map[string]bool {
